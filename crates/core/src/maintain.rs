@@ -58,7 +58,7 @@ impl Pass {
             });
             let Some(parent) = candidate else { break };
             self.collapse_into_leaf(parent);
-            self.bump_mutation_epoch();
+            self.rebuild_and_bump();
             merges += 1;
         }
         merges
@@ -205,7 +205,7 @@ impl Pass {
             (r_rect, r_agg, Some(right_li)),
         );
         debug_assert!(l_id != r_id);
-        self.bump_mutation_epoch();
+        self.rebuild_and_bump();
         Ok(true)
     }
 

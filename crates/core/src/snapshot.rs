@@ -3,16 +3,17 @@
 //! The state sections carry only what the spec cannot rebuild:
 //!
 //! * the SoA [`PartitionTree`] arena, field-for-field — **including** dead
-//!   `child_flat` ranges left by maintenance collapses and the cached
-//!   `has_empty` flag — so a loaded tree is layout-identical, not just
-//!   logically equivalent, and every traversal takes the exact same path;
+//!   `child_flat` ranges left by maintenance collapses, plus a has-empty
+//!   flag checked against the aggregates — so a loaded tree is
+//!   layout-identical, not just logically equivalent, and every traversal
+//!   takes the exact same path;
 //! * the per-leaf stratified [`Sample`]s (with their conservatively-cleared
 //!   `sorted_1d` flags);
 //! * the mutation epoch and the workload-shift dimension mapping.
 //!
 //! Everything else (λ, zero-variance rule, delta flag, seed, name) derives
 //! from the embedded [`PassSpec`]; the flat [`SampleArena`] is rebuilt from
-//! the decoded samples exactly as the build and mutation paths do.
+//! the decoded samples exactly as the build path does.
 //!
 //! Decoding validates every structural index (children, parents, leaf
 //! indices) before the tree is handed to traversal code, so a drifted but
@@ -35,7 +36,7 @@ pub fn encode_tree(out: &mut Vec<u8>, tree: &PartitionTree) {
     put_usize(out, tree.dims);
     put_usize(out, tree.root);
     put_usize(out, tree.n_leaves);
-    put_bool(out, tree.has_empty);
+    put_bool(out, tree.has_empty_nodes());
     put_usize(out, tree.aggs.len());
     for agg in &tree.aggs {
         put_f64(out, agg.sum);
@@ -127,6 +128,15 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
     if root >= n_nodes {
         return Err(drift(format!("tree root {root} out of {n_nodes} nodes")));
     }
+    if parent.iter().any(|p| p.is_some_and(|p| p >= n_nodes)) {
+        return Err(drift("a node's parent id is out of range".into()));
+    }
+    // Every child must name its node as parent, and the root has none: a
+    // node then has at most one parent, so the live nodes form a tree —
+    // no cycle or shared subtree can send a traversal round forever.
+    if parent.get(root) != Some(&None) {
+        return Err(drift("the tree root has a parent".into()));
+    }
     for (id, &(start, count)) in child_span.iter().enumerate() {
         let end = start as usize + count as usize;
         if end > child_flat.len() {
@@ -137,13 +147,18 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
         // bounds: the span was validated against child_flat.len() above.
         if child_flat[start as usize..end]
             .iter()
-            .any(|&ch| ch >= n_nodes)
+            .any(|&ch| parent.get(ch) != Some(&Some(id)))
         {
-            return Err(drift(format!("node {id} has an out-of-range child")));
+            return Err(drift(format!(
+                "node {id} has a child that is out of range or names another parent"
+            )));
         }
     }
-    if parent.iter().any(|p| p.is_some_and(|p| p >= n_nodes)) {
-        return Err(drift("a node's parent id is out of range".into()));
+    let n_empty = aggs.iter().filter(|a| a.is_empty()).count();
+    if has_empty != (n_empty > 0) {
+        return Err(drift(
+            "tree has-empty flag disagrees with the aggregates".into(),
+        ));
     }
     Ok(PartitionTree {
         dims,
@@ -155,7 +170,7 @@ pub fn decode_tree(c: &mut Cursor<'_>) -> Result<PartitionTree> {
         child_flat,
         parent,
         leaf_index,
-        has_empty,
+        n_empty,
     })
 }
 
@@ -312,19 +327,53 @@ mod tests {
         .unwrap();
         let mut drifted = pass.clone();
         drifted.tree.leaf_index[0] = Some(10_000);
+        assert!(fails_to_load(&drifted));
+    }
+
+    #[test]
+    fn cyclic_trees_and_stale_empty_flags_fail_at_load() {
+        let t = uniform(1_000, 14);
+        let pass = Pass::from_spec(
+            &t,
+            &PassSpec {
+                partitions: 8,
+                sample_rate: 0.05,
+                ..PassSpec::default()
+            },
+        )
+        .unwrap();
+        assert!(!fails_to_load(&pass));
+        // A child span pointing back at the root.
+        let mut cyclic = pass.clone();
+        let root = cyclic.tree.root;
+        let (start, _) = cyclic.tree.child_span[root];
+        cyclic.tree.child_flat[start as usize] = root;
+        assert!(fails_to_load(&cyclic));
+        // A root that claims a parent.
+        let mut rooted = pass.clone();
+        rooted.tree.parent[root] = Some(0);
+        assert!(fails_to_load(&rooted));
+        // An empty-node flag the aggregates do not back.
+        let mut stale = pass.clone();
+        stale.tree.n_empty = 1;
+        assert!(fails_to_load(&stale));
+    }
+
+    /// Whether `drifted` saves to a snapshot that load rejects as drifted.
+    fn fails_to_load(drifted: &Pass) -> bool {
         let mut bytes = Vec::new();
         write_header(&mut bytes, &drifted.spec());
-        save_pass(&drifted, &mut bytes).unwrap();
+        save_pass(drifted, &mut bytes).unwrap();
         let (spec, mut r) = SnapshotReader::open(&bytes).unwrap();
         let spec = match spec {
             EngineSpec::Pass(p) => p,
             other => panic!("unexpected spec {other:?}"),
         };
-        assert!(matches!(
+        matches!(
             load_pass(&spec, &mut r).err(),
             Some(pass_common::PassError::Snapshot(
                 SnapshotError::SpecMismatch(_)
             ))
-        ));
+        )
     }
 }

@@ -334,7 +334,8 @@ pub struct Pass {
     pub(crate) tree: PartitionTree,
     pub(crate) samples: Vec<Sample>,
     /// Flat, cache-resident mirror of `samples` — the structure the query
-    /// hot path actually scans. Derived: rebuilt on every mutation epoch.
+    /// hot path actually scans. Derived: writes patch the one stratum
+    /// they change; build, load and maintenance rebuild it.
     pub(crate) arena: SampleArena,
     pub(crate) lambda: f64,
     pub(crate) zero_variance_rule: bool,
@@ -397,14 +398,27 @@ impl Pass {
 
     /// Record one absorbed mutation. Every path that changes query-visible
     /// state (`insert`, `delete`, maintenance restructurings) must call
-    /// this so epoch-aware caches never serve stale answers. Doubling as
-    /// the derived-state choke point, it also rebuilds the flat
-    /// [`SampleArena`] and the tree's empty-node flag, so the hot path can
-    /// keep trusting both between mutations.
+    /// this so epoch-aware caches never serve stale answers. The caller
+    /// has already brought the derived state — the flat [`SampleArena`]
+    /// and the tree's empty-node count — in step with the samples and
+    /// aggregates: writes patch both in place, maintenance rebuilds them
+    /// ([`rebuild_and_bump`](Self::rebuild_and_bump)). Debug builds check
+    /// the patched state against a fresh rebuild here.
     pub(crate) fn bump_mutation_epoch(&mut self) {
         self.mutation_epoch += 1;
+        debug_assert!(
+            self.arena == SampleArena::from_samples(&self.samples),
+            "patched sample arena drifted from the samples"
+        );
+        debug_assert_eq!(self.tree.n_empty, self.tree.recount_empty());
+    }
+
+    /// Rebuild the derived state from scratch, then record the mutation:
+    /// the path for structural maintenance, which reshapes strata.
+    pub(crate) fn rebuild_and_bump(&mut self) {
         self.arena = SampleArena::from_samples(&self.samples);
-        self.tree.refresh_has_empty();
+        self.tree.n_empty = self.tree.recount_empty();
+        self.bump_mutation_epoch();
     }
 
     /// Draw a deterministic RNG for update operations.

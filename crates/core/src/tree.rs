@@ -26,13 +26,13 @@
 //! dead range behind — maintenance is rare and bounded, so the arena trades
 //! that slack for never shifting live ranges.
 //!
-//! The tree also tracks whether *any* node's aggregate is empty
-//! (`has_empty`): leaves are born non-empty and only deletions can zero a
-//! count, so in the common case the MCF loop skips the per-node emptiness
-//! load entirely — the aggregate array stays out of the traversal's cache
-//! footprint. The flag is refreshed by the crate-internal
-//! `PartitionTree::refresh_has_empty` from the synopsis' mutation choke
-//! point.
+//! The tree also counts the nodes whose aggregate is empty (`n_empty`):
+//! leaves are born non-empty and only deletions can zero a count, so in
+//! the common case the count is 0 and the MCF loop skips the per-node
+//! emptiness load entirely — the aggregate array stays out of the
+//! traversal's cache footprint. Inserts and deletes keep the count in
+//! O(1) per node they touch (`PartitionTree::update_agg`); structural
+//! maintenance recounts it (`PartitionTree::recount_empty`).
 //!
 //! Trees come from two constructors:
 //! * [`PartitionTree::from_partitioning`] — 1-D: optimizer leaves paired
@@ -74,9 +74,9 @@ pub struct PartitionTree {
     pub(crate) parent: Vec<Option<NodeId>>,
     /// For leaves: index into the synopsis' per-leaf sample array.
     pub(crate) leaf_index: Vec<Option<usize>>,
-    /// Whether any node's aggregate is empty. `false` lets MCF skip the
-    /// per-node emptiness load; refreshed after count-changing mutations.
-    pub(crate) has_empty: bool,
+    /// How many nodes' aggregates are empty (dead nodes included). 0 lets
+    /// MCF skip the per-node emptiness load.
+    pub(crate) n_empty: usize,
 }
 
 impl PartitionTree {
@@ -91,7 +91,7 @@ impl PartitionTree {
             child_flat: Vec::with_capacity(nodes),
             parent: Vec::with_capacity(nodes),
             leaf_index: Vec::with_capacity(nodes),
-            has_empty: false,
+            n_empty: 0,
         }
     }
 
@@ -105,7 +105,7 @@ impl PartitionTree {
     ) -> NodeId {
         debug_assert_eq!(rect.dims(), self.dims);
         let id = self.aggs.len();
-        self.has_empty |= agg.is_empty();
+        self.n_empty += usize::from(agg.is_empty());
         self.aggs.push(agg);
         for d in 0..self.dims {
             self.rect.push((rect.lo(d), rect.hi(d)));
@@ -232,9 +232,14 @@ impl PartitionTree {
         &self.aggs[id]
     }
 
+    /// Apply `f` to node `id`'s aggregates in place, keeping the
+    /// empty-node count in step.
     #[inline]
-    pub(crate) fn agg_mut(&mut self, id: NodeId) -> &mut Aggregates {
-        &mut self.aggs[id]
+    pub(crate) fn update_agg(&mut self, id: NodeId, f: impl FnOnce(&mut Aggregates)) {
+        let agg = &mut self.aggs[id];
+        let was_empty = agg.is_empty();
+        f(agg);
+        self.n_empty = self.n_empty + usize::from(agg.is_empty()) - usize::from(was_empty);
     }
 
     /// Child ids of node `id` (empty for leaves).
@@ -288,14 +293,13 @@ impl PartitionTree {
     /// docs) — `false` lets traversals skip per-node emptiness loads.
     #[inline]
     pub(crate) fn has_empty_nodes(&self) -> bool {
-        self.has_empty
+        self.n_empty > 0
     }
 
-    /// Recompute [`has_empty_nodes`](Self::has_empty_nodes) by scanning
-    /// the aggregate column. Called from the synopsis' mutation choke
-    /// point (deletions can zero a count; nothing else can).
-    pub(crate) fn refresh_has_empty(&mut self) {
-        self.has_empty = self.aggs.iter().any(Aggregates::is_empty);
+    /// Count the empty aggregates from scratch (after structural
+    /// maintenance, and to check the running count in debug builds).
+    pub(crate) fn recount_empty(&self) -> usize {
+        self.aggs.iter().filter(|a| a.is_empty()).count()
     }
 
     /// Materialize node `id`'s bounding rectangle. Cold-path convenience —
@@ -342,13 +346,36 @@ impl PartitionTree {
         })
     }
 
-    /// Overwrite node `id`'s rectangle (dynamic bounding-box growth).
-    pub(crate) fn set_rect(&mut self, id: NodeId, rect: &Rect) {
-        debug_assert_eq!(rect.dims(), self.dims);
+    /// Grow node `id`'s rectangle just enough to contain the point
+    /// (dynamic bounding-box growth).
+    pub(crate) fn widen_to(&mut self, id: NodeId, point: &[f64]) {
+        debug_assert_eq!(point.len(), self.dims);
         let base = id * self.dims;
-        for d in 0..self.dims {
-            self.rect[base + d] = (rect.lo(d), rect.hi(d));
+        for ((lo, hi), &p) in self.rect[base..base + self.dims].iter_mut().zip(point) {
+            if p < *lo {
+                *lo = p;
+            }
+            if p > *hi {
+                *hi = p;
+            }
         }
+    }
+
+    /// L1 distance from the point to node `id`'s rectangle: 0 inside it,
+    /// otherwise the summed per-dimension gaps.
+    #[inline]
+    pub(crate) fn l1_distance(&self, id: NodeId, point: &[f64]) -> f64 {
+        debug_assert_eq!(point.len(), self.dims);
+        let base = id * self.dims;
+        let mut dist = 0.0;
+        for (&(lo, hi), &p) in self.rect[base..base + self.dims].iter().zip(point) {
+            if p < lo {
+                dist += lo - p;
+            } else if p > hi {
+                dist += p - hi;
+            }
+        }
+        dist
     }
 
     pub(crate) fn set_leaf_index(&mut self, id: NodeId, leaf_index: Option<usize>) {

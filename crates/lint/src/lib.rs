@@ -38,8 +38,9 @@
 //!    bench harness. Everything else must take timestamps as inputs,
 //!    which is what keeps the rest of the workspace deterministic and
 //!    model-checkable.
-//! 6. **Scan kernels stay allocation-free** — the declared hot-path
-//!    modules ([`SCAN_KERNELS`]) must not heap-allocate per call:
+//! 6. **Scan kernels and the write path stay allocation-free** — the
+//!    declared hot-path modules ([`SCAN_KERNELS`]) must not heap-allocate
+//!    per call:
 //!    `Vec::new`, `vec![…]`, `.collect()`, `with_capacity`, `.to_vec()`,
 //!    and `Box::new` are flagged outside `#[cfg(test)]` code unless a
 //!    `// alloc:` comment justifies the site (the scratch buffers'
@@ -103,10 +104,10 @@ pub const PANIC_EXEMPT: &[&str] = &[
     "crates/common/src/chaos/imp.rs",
 ];
 
-/// The declared allocation-free scan-kernel modules (rule 6): the
-/// columnar estimation hot path must reuse scratch buffers, never
-/// allocate per query.
-pub const SCAN_KERNELS: &[&str] = &["crates/sampling/src/kernel.rs"];
+/// The declared allocation-free hot-path modules (rule 6): the columnar
+/// estimation kernels must reuse scratch buffers, never allocate per
+/// query, and the insert/delete path must not allocate per write.
+pub const SCAN_KERNELS: &[&str] = &["crates/sampling/src/kernel.rs", "crates/core/src/update.rs"];
 
 /// The snapshot decoder modules (rule 7): they parse untrusted bytes and
 /// must reach them via `get(..)`-or-error, never unchecked indexing.

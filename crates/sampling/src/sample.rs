@@ -153,9 +153,9 @@ impl Sample {
     }
 
     /// Remove sampled row `i` (its underlying tuple was deleted).
-    pub fn swap_remove_row(&mut self, i: usize) -> (f64, Vec<f64>) {
+    pub fn swap_remove_row(&mut self, i: usize) {
         self.sorted_1d = false;
-        self.rows.swap_remove_row(i)
+        self.rows.swap_remove_row(i);
     }
 
     /// Position of a sampled row equal to `(value, preds)`, if any.

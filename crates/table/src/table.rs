@@ -227,15 +227,12 @@ impl Table {
     }
 
     /// Remove row `i` by swapping in the last row (O(1), order not
-    /// preserved). Returns the removed `(value, preds)`.
-    pub fn swap_remove_row(&mut self, i: usize) -> (f64, Vec<f64>) {
-        let value = self.values.swap_remove(i);
-        let preds = self
-            .predicates
-            .iter_mut()
-            .map(|col| col.swap_remove(i))
-            .collect();
-        (value, preds)
+    /// preserved, no allocation).
+    pub fn swap_remove_row(&mut self, i: usize) {
+        self.values.swap_remove(i);
+        for col in &mut self.predicates {
+            col.swap_remove(i);
+        }
     }
 
     /// Overwrite row `i` in place (reservoir replacement path).

@@ -1,13 +1,16 @@
 //! Property tests for dynamic updates (Section 4.5): arbitrary interleaved
 //! insert/delete sequences keep the synopsis statistically consistent —
 //! node aggregates stay exact for SUM/COUNT/AVG, MIN/MAX bounds stay
-//! conservative, and whole-space queries stay exact.
+//! conservative, and whole-space queries stay exact — and the sample
+//! arena a write patches in place never drifts from one built fresh.
 
 use proptest::prelude::*;
 
-use pass::common::{AggKind, PassSpec, Query, Synopsis};
+use pass::common::rng::derive_seed;
+use pass::common::{AggKind, PassSpec, Query, Rect, Synopsis};
 use pass::core::Pass;
 use pass::table::Table;
+use pass::Engine;
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -107,5 +110,138 @@ proptest! {
                 pass.tree().agg(id).count
             );
         }
+    }
+}
+
+/// One write of the drift check.
+#[derive(Debug, Clone)]
+enum Write {
+    Insert {
+        at: [f64; 2],
+        value: f64,
+    },
+    /// Delete the `i`-th live insert.
+    DeleteInsert(usize),
+    /// Delete every sampled row of one stratum, then insert a tuple at
+    /// the middle of its leaf: the stratum's sample goes to 0 rows and
+    /// the refill appends its first row again.
+    EmptyAndRefill {
+        stratum: usize,
+        value: f64,
+    },
+}
+
+fn writes() -> impl Strategy<Value = Vec<Write>> {
+    prop::collection::vec(
+        prop_oneof![
+            4 => ((0.0f64..1.0), (0.0f64..1.0), (0.0f64..100.0))
+                .prop_map(|(x, y, value)| Write::Insert { at: [x, y], value }),
+            2 => (0usize..64).prop_map(Write::DeleteInsert),
+            1 => ((0usize..64), (0.0f64..100.0))
+                .prop_map(|(stratum, value)| Write::EmptyAndRefill { stratum, value }),
+        ],
+        1..40,
+    )
+}
+
+/// A `dims`-D table of 400 uniform rows; 2-D builds a KD tree. Strata
+/// hold about 4 sampled rows, so removals move rows within a stratum.
+fn drift_pass(dims: usize, seed: u64) -> Pass {
+    let n = 400u64;
+    let unit = |label: u64| derive_seed(seed, label) as f64 / u64::MAX as f64;
+    let preds = (0..dims as u64)
+        .map(|d| (0..n).map(|i| unit(d * n + i)).collect())
+        .collect();
+    let values = (0..n).map(|i| 50.0 * unit(dims as u64 * n + i)).collect();
+    let names = std::iter::once("value".to_owned())
+        .chain((0..dims).map(|d| format!("x{d}")))
+        .collect();
+    let table = Table::new(values, preds, names).unwrap();
+    let spec = PassSpec {
+        partitions: 8,
+        sample_rate: 0.08,
+        seed,
+        ..PassSpec::default()
+    };
+    Pass::from_spec(&table, &spec).unwrap()
+}
+
+/// COUNT, SUM and AVG over boxes that cut through several leaves.
+fn partial_queries(dims: usize) -> Vec<Query> {
+    let boxes = [(0.1, 0.35), (0.3, 0.72), (0.55, 0.9), (-1.0, 0.5)];
+    let mut qs = Vec::new();
+    for agg in AggKind::SAMPLED {
+        for (i, &(lo, hi)) in boxes.iter().enumerate() {
+            let other = boxes[(i + 1) % boxes.len()];
+            let bounds = [(lo, hi), other];
+            qs.push(Query::new(agg, Rect::new(&bounds[..dims])));
+        }
+    }
+    qs
+}
+
+/// After every write, the synopsis answers bit for bit as a copy whose
+/// arena was built fresh from its samples by a snapshot reload.
+fn assert_no_drift(dims: usize, seed: u64, writes: &[Write]) {
+    let mut pass = drift_pass(dims, seed);
+    let qs = partial_queries(dims);
+    let mut live: Vec<(Vec<f64>, f64)> = Vec::new();
+    for (step, write) in writes.iter().enumerate() {
+        match write {
+            Write::Insert { at, value } => {
+                pass.insert(&at[..dims], *value).unwrap();
+                live.push((at[..dims].to_vec(), *value));
+            }
+            Write::DeleteInsert(i) => {
+                if live.is_empty() {
+                    continue;
+                }
+                let (point, value) = live.swap_remove(i % live.len());
+                pass.delete(&point, value).unwrap();
+            }
+            Write::EmptyAndRefill { stratum, value } => {
+                let li = stratum % pass.leaf_samples().len();
+                let rows = pass.leaf_samples()[li].rows().clone();
+                for r in 0..rows.n_rows() {
+                    let point: Vec<f64> = (0..dims).map(|d| rows.predicate(d, r)).collect();
+                    prop_assert!(pass.delete(&point, rows.value(r)).unwrap());
+                    if let Some(pos) = live
+                        .iter()
+                        .position(|(p, v)| *p == point && *v == rows.value(r))
+                    {
+                        live.swap_remove(pos);
+                    }
+                }
+                prop_assert_eq!(pass.leaf_samples()[li].k(), 0);
+                let leaf = pass.tree().leaves()[li];
+                let mid: Vec<f64> = (0..dims)
+                    .map(|d| (pass.tree().rect_lo(leaf, d) + pass.tree().rect_hi(leaf, d)) / 2.0)
+                    .collect();
+                pass.insert(&mid, *value).unwrap();
+                live.push((mid, *value));
+                prop_assert_eq!(pass.leaf_samples()[li].k(), 1, "stratum {} refilled", li);
+            }
+        }
+        let mut bytes = Vec::new();
+        pass.save(&mut bytes).unwrap();
+        let fresh = Engine::load(&bytes).unwrap();
+        for q in &qs {
+            prop_assert_eq!(pass.estimate(q), fresh.estimate(q), "step {} {:?}", step, q);
+        }
+        prop_assert_eq!(pass.estimate_many(&qs), fresh.estimate_many(&qs));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn patched_arena_never_drifts_in_1d(writes in writes(), seed in 0u64..1000) {
+        assert_no_drift(1, seed, &writes);
+    }
+
+    #[test]
+    fn patched_arena_never_drifts_in_a_kd_tree(writes in writes(), seed in 0u64..1000) {
+        assert_no_drift(2, seed, &writes);
     }
 }
